@@ -14,12 +14,19 @@ type fRef struct {
 	marked bool
 }
 
-// fNode is a node of the lock-free skip list.
+// fNode is a node of the lock-free skip list. The height is len(next),
+// fixed for the node's lifetime (newTower).
 type fNode struct {
-	key      uint64
-	val      uint64
-	topLevel int
-	next     [MaxLevel]atomic.Pointer[fRef]
+	key  uint64
+	val  uint64
+	next []atomic.Pointer[fRef]
+}
+
+// newFNode returns an unpublished tower of the given height for key→val.
+func newFNode(key, val uint64, height int) *fNode {
+	n, next := newTower[fNode, atomic.Pointer[fRef]](height)
+	n.key, n.val, n.next = key, val, next
+	return n
 }
 
 // Fraser is the lock-free skip list of Fraser [15], in the formulation of
@@ -35,11 +42,11 @@ var _ ds.Set = (*Fraser)(nil)
 
 // NewFraser returns an empty lock-free skip list.
 func NewFraser() *Fraser {
-	tail := &fNode{key: tailKey, topLevel: MaxLevel}
+	tail := newFNode(tailKey, 0, MaxLevel)
 	for l := 0; l < MaxLevel; l++ {
 		tail.next[l].Store(&fRef{})
 	}
-	head := &fNode{key: headKey, topLevel: MaxLevel}
+	head := newFNode(headKey, 0, MaxLevel)
 	for l := 0; l < MaxLevel; l++ {
 		head.next[l].Store(&fRef{node: tail})
 	}
@@ -133,7 +140,7 @@ func (s *Fraser) Insert(key, val uint64) bool {
 		if s.find(key, &preds, &succs, &predRefs) {
 			return false
 		}
-		n := &fNode{key: key, val: val, topLevel: topLevel}
+		n := newFNode(key, val, topLevel)
 		for level := 0; level < topLevel; level++ {
 			n.next[level].Store(&fRef{node: succs[level]})
 		}
@@ -186,7 +193,7 @@ func (s *Fraser) Delete(key uint64) (uint64, bool) {
 	}
 	victim := succs[0]
 	// Mark the upper levels, top-down.
-	for level := victim.topLevel - 1; level >= 1; level-- {
+	for level := len(victim.next) - 1; level >= 1; level-- {
 		for {
 			ref := victim.next[level].Load()
 			if ref.marked {

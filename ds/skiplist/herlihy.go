@@ -11,15 +11,22 @@ import (
 
 // hNode is a node of the Herlihy optimistic skip list: per-node TAS lock,
 // logical-deletion flag, and a fullyLinked flag that marks the end of the
-// multi-level linking (the insert's linearization point).
+// multi-level linking (the insert's linearization point). The height is
+// len(next), fixed for the node's lifetime (newTower).
 type hNode struct {
 	key         uint64
 	val         uint64
 	lock        locks.TAS
 	marked      atomic.Bool
 	fullyLinked atomic.Bool
-	topLevel    int // number of levels, in [1, MaxLevel]; immutable
-	next        [MaxLevel]atomic.Pointer[hNode]
+	next        []atomic.Pointer[hNode]
+}
+
+// newHNode returns an unpublished tower of the given height for key→val.
+func newHNode(key, val uint64, height int) *hNode {
+	n, next := newTower[hNode, atomic.Pointer[hNode]](height)
+	n.key, n.val, n.next = key, val, next
+	return n
 }
 
 // Herlihy is the optimistic skip list of Herlihy, Lev, Luchangco and
@@ -36,9 +43,9 @@ var _ ds.Set = (*Herlihy)(nil)
 
 // NewHerlihy returns an empty Herlihy skip list.
 func NewHerlihy() *Herlihy {
-	tail := &hNode{key: tailKey, topLevel: MaxLevel}
+	tail := newHNode(tailKey, 0, MaxLevel)
 	tail.fullyLinked.Store(true)
-	head := &hNode{key: headKey, topLevel: MaxLevel}
+	head := newHNode(headKey, 0, MaxLevel)
 	for l := 0; l < MaxLevel; l++ {
 		head.next[l].Store(tail)
 	}
@@ -122,7 +129,7 @@ func (s *Herlihy) Insert(key, val uint64) bool {
 			bo.Wait()
 			continue
 		}
-		n := &hNode{key: key, val: val, topLevel: topLevel}
+		n := newHNode(key, val, topLevel)
 		for level := 0; level < topLevel; level++ {
 			n.next[level].Store(succs[level])
 		}
@@ -164,7 +171,7 @@ func (s *Herlihy) Delete(key uint64) (uint64, bool) {
 				return 0, false
 			}
 			victim = succs[lFound]
-			if !victim.fullyLinked.Load() || victim.marked.Load() || victim.topLevel-1 != lFound {
+			if !victim.fullyLinked.Load() || victim.marked.Load() || len(victim.next)-1 != lFound {
 				if victim.marked.Load() {
 					return 0, false
 				}
@@ -172,7 +179,7 @@ func (s *Herlihy) Delete(key uint64) (uint64, bool) {
 				bo.Wait()
 				continue
 			}
-			topLevel = victim.topLevel
+			topLevel = len(victim.next)
 			victim.lock.Lock()
 			if victim.marked.Load() {
 				victim.lock.Unlock()

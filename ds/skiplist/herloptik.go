@@ -9,15 +9,22 @@ import (
 	"github.com/optik-go/optik/internal/core"
 )
 
-// hoNode is a node of the Herlihy skip list with OPTIK locks.
+// hoNode is a node of the Herlihy skip list with OPTIK locks. The height
+// is len(next), fixed for the node's lifetime (newTower).
 type hoNode struct {
 	key         uint64
 	val         uint64
 	lock        core.Lock
 	marked      atomic.Bool
 	fullyLinked atomic.Bool
-	topLevel    int
-	next        [MaxLevel]atomic.Pointer[hoNode]
+	next        []atomic.Pointer[hoNode]
+}
+
+// newHONode returns an unpublished tower of the given height for key→val.
+func newHONode(key, val uint64, height int) *hoNode {
+	n, next := newTower[hoNode, atomic.Pointer[hoNode]](height)
+	n.key, n.val, n.next = key, val, next
+	return n
 }
 
 // HerlihyOptik is the paper's first skip-list contribution ("herl-optik"):
@@ -36,9 +43,9 @@ var _ ds.Set = (*HerlihyOptik)(nil)
 
 // NewHerlihyOptik returns an empty herl-optik skip list.
 func NewHerlihyOptik() *HerlihyOptik {
-	tail := &hoNode{key: tailKey, topLevel: MaxLevel}
+	tail := newHONode(tailKey, 0, MaxLevel)
 	tail.fullyLinked.Store(true)
-	head := &hoNode{key: headKey, topLevel: MaxLevel}
+	head := newHONode(headKey, 0, MaxLevel)
 	for l := 0; l < MaxLevel; l++ {
 		head.next[l].Store(tail)
 	}
@@ -152,7 +159,7 @@ func (s *HerlihyOptik) Insert(key, val uint64) bool {
 			bo.Wait()
 			continue
 		}
-		n := &hoNode{key: key, val: val, topLevel: topLevel}
+		n := newHONode(key, val, topLevel)
 		for level := 0; level < topLevel; level++ {
 			n.next[level].Store(succs[level])
 		}
@@ -206,14 +213,14 @@ func (s *HerlihyOptik) Delete(key uint64) (uint64, bool) {
 				return 0, false
 			}
 			victim = succs[lFound]
-			if !victim.fullyLinked.Load() || victim.marked.Load() || victim.topLevel-1 != lFound {
+			if !victim.fullyLinked.Load() || victim.marked.Load() || len(victim.next)-1 != lFound {
 				if victim.marked.Load() {
 					return 0, false
 				}
 				bo.Wait()
 				continue
 			}
-			topLevel = victim.topLevel
+			topLevel = len(victim.next)
 			victim.lock.Lock()
 			if victim.marked.Load() {
 				victim.lock.Revert()

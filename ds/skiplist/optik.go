@@ -16,18 +16,28 @@ import (
 // changed (a false conflict), in exchange for radically simpler validation.
 //
 // val is atomic because Upsert replaces it in place under the node's own
-// lock while lock-free searches read it. key and topLevel stay plain: on a
-// pool-backed list they are only rewritten during recycling, when qsbr
-// guarantees no pinned traversal can still reach the node; on a GC-backed
-// list they are written once before publication.
+// lock while lock-free searches read it. key stays plain: on a pool-backed
+// list it is only rewritten during recycling, when qsbr guarantees no
+// pinned traversal can still reach the node; on a GC-backed list it is
+// written once before publication. The height is len(next), fixed for the
+// tower's lifetime (recycling keeps it), and the slots live in the node's
+// own allocation (newTower): the 56-byte header plus one slot fills one
+// cache line.
 type oNode struct {
 	key         uint64
 	val         atomic.Uint64
 	lock        core.Lock
 	marked      atomic.Bool
 	fullyLinked atomic.Bool
-	topLevel    int
-	next        [MaxLevel]atomic.Pointer[oNode]
+	next        []atomic.Pointer[oNode]
+}
+
+// newONode returns an unpublished tower of the given height for key.
+func newONode(key uint64, height int) *oNode {
+	n, next := newTower[oNode, atomic.Pointer[oNode]](height)
+	n.key = key
+	n.next = next
+	return n
 }
 
 // Optik is the paper's new skip-list algorithm (§5.3). Parsing tracks the
@@ -48,9 +58,9 @@ type oNode struct {
 // hash table's chain nodes use): deleted towers are retired, reclaimed
 // once no pinned operation can reach them, and handed back out by the next
 // insert. Unlike the hash table — whose readers are protected by version
-// validation alone — the skip list's traversals dereference plain fields
-// (key, topLevel), so on a pool-backed list EVERY operation pins a qsbr
-// handle for its duration: the pin's announced epoch blocks reclamation of
+// validation alone — the skip list's traversals read the plain key field,
+// so on a pool-backed list EVERY operation pins a qsbr handle for its
+// duration: the pin's announced epoch blocks reclamation of
 // anything the traversal can reach. The paper variants (NewOptik1/2) keep
 // a nil pool, where every pin is a no-op and unlinked towers drop to the
 // garbage collector — identical code path, zero behavior change.
@@ -81,9 +91,9 @@ func NewOptik2() *Optik { return newOptik(false, nil) }
 func NewOptikPool(pool *qsbr.Pool) *Optik { return newOptik(false, pool) }
 
 func newOptik(fine bool, pool *qsbr.Pool) *Optik {
-	tail := &oNode{key: tailKey, topLevel: MaxLevel}
+	tail := newONode(tailKey, MaxLevel)
 	tail.fullyLinked.Store(true)
-	head := &oNode{key: headKey, topLevel: MaxLevel}
+	head := newONode(headKey, MaxLevel)
 	for l := 0; l < MaxLevel; l++ {
 		head.next[l].Store(tail)
 	}
@@ -106,20 +116,22 @@ func (s *Optik) ReclaimStats() (retired, reclaimed, reused uint64) {
 	return s.pool.Domain().Stats()
 }
 
-// allocNode returns a tower for key→val: recycled from the qsbr free list
-// when one is available, freshly allocated otherwise. A recycled tower is
-// reset field by field; its lock — left held forever by the deleter that
-// retired it — is released by advancing the version, so any parse still
-// holding a snapshot from the node's previous life keeps failing
-// validation (the version is monotone across lives, belt to the qsbr
-// suspenders). next pointers above topLevel keep stale values; no
-// traversal reads a level ≥ the node's own topLevel.
-func allocONode(rc *qsbr.Reclaimer, key, val uint64, topLevel int) *oNode {
+// allocONode returns a tower for key→val: recycled from the qsbr free
+// list when one is available, freshly allocated at a randomLevel() height
+// otherwise. A recycled tower keeps its height = len(next), fixed for the
+// tower's lifetime: deletes do not depend on height, so recycled heights
+// follow the same geometric distribution as fresh draws, and next is
+// written once per tower. Its other fields are reset one by one; its lock
+// — left held forever by the deleter that retired it — is released by
+// advancing the version, so any parse still holding a snapshot from the
+// node's previous life keeps failing validation (the version is monotone
+// across lives, belt to the qsbr suspenders). The slots keep their stale
+// successors until insert overwrites each before linking it.
+func allocONode(rc *qsbr.Reclaimer, key, val uint64) *oNode {
 	if v := rc.Alloc(); v != nil {
 		n := v.(*oNode)
 		n.key = key
 		n.val.Store(val)
-		n.topLevel = topLevel
 		n.marked.Store(false)
 		n.fullyLinked.Store(false)
 		if n.lock.GetVersion().IsLocked() {
@@ -127,7 +139,7 @@ func allocONode(rc *qsbr.Reclaimer, key, val uint64, topLevel int) *oNode {
 		}
 		return n
 	}
-	n := &oNode{key: key, topLevel: topLevel}
+	n := newONode(key, randomLevel())
 	n.val.Store(val)
 	return n
 }
@@ -241,7 +253,6 @@ func (s *Optik) Upsert(key, val uint64) (uint64, bool) {
 // (fail, or replace under the node's lock), otherwise link a new tower
 // eagerly level by level. Returns (old value, replaced, inserted).
 func (s *Optik) insert(rc *qsbr.Reclaimer, key, val uint64, upsert bool) (uint64, bool, bool) {
-	topLevel := randomLevel()
 	var preds, succs [MaxLevel]*oNode
 	var predVs [MaxLevel]core.Version
 	var n *oNode
@@ -283,8 +294,9 @@ func (s *Optik) insert(rc *qsbr.Reclaimer, key, val uint64, upsert bool) (uint64
 			}
 		}
 		if n == nil {
-			n = allocONode(rc, key, val, topLevel)
+			n = allocONode(rc, key, val)
 		}
+		topLevel := len(n.next)
 		restartParse := false
 		level := startLevel
 		for level < topLevel {
@@ -390,7 +402,7 @@ func (s *Optik) delete(rc *qsbr.Reclaimer, key uint64) (uint64, bool) {
 		}
 		// Lock every predecessor level (distinct nodes once), descending
 		// key order overall, so concurrent deletes cannot deadlock.
-		topLevel := victim.topLevel
+		topLevel := len(victim.next)
 		highestLocked := -1
 		var prevPred *oNode
 		ok := true

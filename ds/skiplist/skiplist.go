@@ -18,9 +18,12 @@
 //     check fails; Optik2 restarts immediately (and is the more scalable
 //     variant in the paper).
 //
-// All variants share MaxLevel tower height and a geometric (p = 1/2) level
-// generator. Keys live in [ds.MinKey, ds.MaxKey]; sentinels use the two
-// reserved values.
+// All variants share the MaxLevel height cap, a geometric (p = 1/2) level
+// generator and one tower layout (newTower): a node's next slice holds
+// exactly its height's slots, carved from the node's own allocation, so a
+// tower's height is len(next), fixed for its lifetime. Keys live in
+// [ds.MinKey, ds.MaxKey]; sentinels use the two reserved values and are
+// full-height.
 package skiplist
 
 import (
@@ -74,6 +77,57 @@ func randomLevel() int {
 	// Trailing zeros of a uniform word are geometric(1/2); the OR caps the
 	// height at MaxLevel.
 	return bits.TrailingZeros64(rng.Mix(s)|1<<(MaxLevel-1)) + 1
+}
+
+// newTower allocates a zeroed node of type N together with its tower of
+// height slots of type S, in one allocation: the slots trail the node in
+// the smallest power-of-two class (1, 2, 4, 8, 16 or MaxLevel slots) that
+// holds height, and the returned slice is cut to height. Callers store the
+// slice in the node's next field, so the height is len(next) and the
+// slots share the node's cache lines — an OPTIK height-1 tower is exactly
+// one 64-byte line. The mean height is 2, so a fixed [MaxLevel] array
+// would put every node in the 320-byte size class for nothing.
+// Power-of-two classes keep the instantiated shapes few while wasting at
+// most half the slots.
+func newTower[N, S any](height int) (*N, []S) {
+	switch {
+	case height <= 1:
+		t := new(struct {
+			node N
+			next [1]S
+		})
+		return &t.node, t.next[:height]
+	case height <= 2:
+		t := new(struct {
+			node N
+			next [2]S
+		})
+		return &t.node, t.next[:height]
+	case height <= 4:
+		t := new(struct {
+			node N
+			next [4]S
+		})
+		return &t.node, t.next[:height]
+	case height <= 8:
+		t := new(struct {
+			node N
+			next [8]S
+		})
+		return &t.node, t.next[:height]
+	case height <= 16:
+		t := new(struct {
+			node N
+			next [16]S
+		})
+		return &t.node, t.next[:height]
+	default:
+		t := new(struct {
+			node N
+			next [MaxLevel]S
+		})
+		return &t.node, t.next[:height]
+	}
 }
 
 const (
